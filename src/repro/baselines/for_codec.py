@@ -2,7 +2,8 @@
 
 Under the LeCo framework FOR is the special case whose Regressor always
 outputs a horizontal line through the frame minimum (``ConstantRegressor``),
-so it reuses the same storage format with ``θ1 = 0``.  Frame length comes
+so it is stored as LeCo partitions with ``θ0 = θ1 = 0`` and the minimum in
+the exact int64 ``bias``, and decoded by LeCo's kernel.  Frame length comes
 from the same sampling-based search used by LeCo-fix (§4.2 applies that
 search to all fixed-partitioning baselines).
 """
@@ -10,34 +11,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.bitpack import bits_needed, extract, pack, unpack
+# ``extract`` and ``unpack`` are unused here but stay bound: perfbench/tracing.py
+# wraps the bit-pack functions at every module that imports them.
+from ..core.bitpack import bits_needed, extract, pack, unpack  # noqa: F401
 from ..core.format import EncodedPartition, EncodedSequence
+from ..core.leco import _LeCoBase, _bits_needed_vec
 from ..core.partitioner import fixed_partitions, search_fixed_length
-from ..core.regressor import ConstantRegressor, LinearModel
-
-_REGRESSOR = ConstantRegressor()
+from ..core.regressor import LinearModel
 
 
-def _for_width(sub: np.ndarray) -> int:
-    return bits_needed(int(sub.max()) - int(sub.min()))
-
-
-def encode_partition_for(values: np.ndarray) -> EncodedPartition:
-    v = np.asarray(values, dtype=np.int64)
-    vmin = int(v.min())
-    width = bits_needed(int(v.max()) - vmin)
-    # the frame base lives in the exact int64 bias field — a float θ0 would
-    # lose precision for values beyond 2^53
-    return EncodedPartition(
-        LinearModel(0.0, 0.0), width, len(v), pack((v - vmin).astype(np.uint64), width), vmin
-    )
-
-
-class FORCodec:
+class FORCodec(_LeCoBase):
     """Frame-of-Reference with searched fixed frame length."""
 
     name = "FOR"
-    supports_random_access = True
 
     def __init__(self, partition_len: int | None = None):
         self.partition_len = partition_len
@@ -45,8 +31,6 @@ class FORCodec:
     @staticmethod
     def _row_stats(v: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized per-partition (min, width) over full rows + tail."""
-        from ..core.leco import _bits_needed_vec
-
         m = len(v) // L
         mins, widths = [], []
         if m:
@@ -57,7 +41,7 @@ class FORCodec:
         if len(v) % L:
             tail = v[m * L :]
             mins.append(np.array([tail.min()]))
-            widths.append(np.array([_for_width(tail)]))
+            widths.append(np.array([bits_needed(int(tail.max()) - int(tail.min()))]))
         return np.concatenate(mins), np.concatenate(widths)
 
     def _cost(self, sample: np.ndarray, L: int) -> int:
@@ -84,14 +68,3 @@ class FORCodec:
         ]
         return EncodedSequence(self.name, len(v), dtype_bits, L, starts, parts)
 
-    def decode(self, enc: EncodedSequence) -> np.ndarray:
-        out = []
-        for p in enc.partitions:
-            deltas = unpack(p.payload, p.width, p.n) if p.width else np.zeros(p.n, dtype=np.uint64)
-            out.append(p.bias + deltas.astype(np.int64))
-        return np.concatenate(out)
-
-    def access(self, enc: EncodedSequence, i: int) -> int:
-        k, off = enc.partition_of(i)
-        p = enc.partitions[k]
-        return p.bias + extract(p.payload, p.width, off)

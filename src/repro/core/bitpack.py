@@ -6,10 +6,10 @@ unsigned; signed deltas are stored by the codecs as ``delta - bias``
 with an explicit per-partition bias, which is exactly the minimal
 fixed-width layout the paper's θ0-tweak approximates (see DESIGN.md §2).
 
-Two families of helpers:
+Two families of whole-array helpers share one O(1) single-value
+``extract``, which reads any width:
 
-* numpy path (widths 0..64): vectorized via ``np.unpackbits``/``packbits``
-  for whole-array pack/unpack plus an O(1) single-value ``extract``.
+* numpy path (widths 0..64): vectorized via ``np.unpackbits``/``packbits``.
 * big-int path (arbitrary widths, for the string extension §3.4 where
   mapped integers exceed 64 bits): pure-Python over ``int``.
 """
@@ -24,7 +24,6 @@ __all__ = [
     "extract",
     "pack_bigints",
     "unpack_bigints",
-    "extract_bigint",
 ]
 
 
@@ -67,7 +66,8 @@ def unpack(buf: bytes, width: int, n: int) -> np.ndarray:
 
 
 def extract(buf: bytes, width: int, idx: int) -> int:
-    """Read the single value at position ``idx`` without unpacking the rest.
+    """Read the single value at position ``idx`` without unpacking the rest
+    (any width: the result is a Python int).
 
     Mirrors the paper's Decoder (§3.3): fetch bits ``[b·i, b·(i+1))``.
     """
@@ -109,13 +109,3 @@ def unpack_bigints(buf: bytes, width: int, n: int) -> list[int]:
     mask = (1 << width) - 1
     return [(acc >> ((n - 1 - i) * width)) & mask for i in range(n)]
 
-
-def extract_bigint(buf: bytes, width: int, idx: int) -> int:
-    """Single arbitrary-width value at ``idx`` (two bounded byte reads)."""
-    if width == 0:
-        return 0
-    start = idx * width
-    end = start + width
-    first, last = start // 8, (end + 7) // 8
-    chunk = int.from_bytes(buf[first:last], "big")
-    return (chunk >> ((last * 8) - end)) & ((1 << width) - 1)

@@ -8,11 +8,14 @@ a bit-packed unsigned delta array, giving O(1) random access:
     partition = i // L   (fix)  |  searchsorted(starts, i)   (var)
     v = floor(θ0 + θ1·i') + bias + delta[i']
 
-``decode_range_accum`` implements the §3.3 range-decompression optimization
-(θ1-accumulation saving one FP multiply per value) together with its exact
-error-correction list, asserted bit-equal to direct inference in tests.
+``_decode_partition`` is the one partition-decode kernel: ``_LeCoBase``
+(LeCo-fix, LeCo-var, LeCo-angle and FOR, whose model is the horizontal line
+θ0 = θ1 = 0 with the frame minimum in ``bias``) and the scan pruning in
+``core/prune.py`` all decode through it.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -21,7 +24,7 @@ from .format import EncodedPartition, EncodedSequence
 from .partitioner import fixed_partitions, search_fixed_length, var_partitions
 from .regressor import LinearModel, LinearRegressor
 
-__all__ = ["LeCoFix", "LeCoVar", "encode_partition_linear", "decode_range_accum"]
+__all__ = ["LeCoFix", "LeCoVar", "encode_partition_linear"]
 
 _REGRESSOR = LinearRegressor()
 
@@ -38,8 +41,8 @@ def encode_partition_linear(values: np.ndarray) -> EncodedPartition:
     idx = np.arange(len(v))
     deltas = v - model.predict(idx)
     if bits_needed(int(v.max()) - int(v.min())) < bits_needed(int(deltas.max()) - int(deltas.min())):
-        model = LinearModel(float(v.min()), 0.0)
-        deltas = v - model.predict(idx)
+        model = LinearModel(0.0, 0.0)  # FOR's line: the minimum goes to the int64 bias
+        deltas = v
     bias = int(deltas.min())
     width = bits_needed(int(deltas.max()) - bias)
     payload = pack((deltas - bias).astype(np.uint64), width)
@@ -57,14 +60,18 @@ def _linear_width(values: np.ndarray) -> int:
 
 
 def _decode_partition(p: EncodedPartition, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Values at local positions ``[start, stop)`` of one partition; only
+    the payload bytes those positions occupy are unpacked."""
     stop = p.n if stop is None else stop
-    idx = np.arange(start, stop)
-    deltas = (
-        unpack(p.payload, p.width, p.n)[start:stop]
-        if p.width
-        else np.zeros(stop - start, dtype=np.uint64)
-    )
-    return p.model.predict(idx) + p.bias + deltas.astype(np.int64)
+    if p.width:
+        # the last position at or before ``start`` whose code begins on a byte
+        a = start - start % (8 // math.gcd(p.width, 8))
+        deltas = unpack(p.payload[a * p.width // 8 :], p.width, stop - a)[start - a :].astype(np.int64)
+    else:
+        deltas = np.zeros(stop - start, dtype=np.int64)
+    if p.model.theta1 == 0:  # a horizontal line predicts one value everywhere
+        return deltas + (math.floor(p.model.theta0) + p.bias)
+    return p.model.predict(np.arange(start, stop)) + p.bias + deltas
 
 
 class _LeCoBase:
@@ -80,15 +87,11 @@ class _LeCoBase:
 
     def decode_range(self, enc: EncodedSequence, start: int, stop: int) -> np.ndarray:
         """Decode global positions ``[start, stop)`` touching only the needed partitions."""
-        ks, offs = enc.partition_of(start)
-        ke, offe = enc.partition_of(stop - 1)
-        out = []
-        for k in range(ks, ke + 1):
-            p = enc.partitions[k]
-            a = offs if k == ks else 0
-            b = offe + 1 if k == ke else p.n
-            out.append(_decode_partition(p, a, b))
-        return np.concatenate(out)
+        ks, ke = enc.partition_of(start)[0], enc.partition_of(stop - 1)[0] + 1
+        return np.concatenate([
+            _decode_partition(p, max(start - s, 0), min(stop - s, p.n))
+            for p, s in zip(enc.partitions[ks:ke], enc.starts[ks:ke].tolist())
+        ])
 
 
 def _bits_needed_vec(x: np.ndarray) -> np.ndarray:
@@ -115,10 +118,12 @@ def _fit_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     rmin, rmax = rows.min(axis=1), rows.max(axis=1)
     w_const = _bits_needed_vec(rmax - rmin)
     use_const = w_const < w_lin
-    theta0 = np.where(use_const, rmin.astype(np.float64), theta0)
+    # the constant model is FOR's: θ0 = θ1 = 0 and the row minimum in the
+    # exact int64 bias (a float θ0 = rmin would round beyond 2^53)
+    theta0 = np.where(use_const, 0.0, theta0)
     theta1 = np.where(use_const, 0.0, theta1)
-    deltas = np.where(use_const[:, None], rows - rmin[:, None], deltas)
-    bias = np.where(use_const, 0, dmin)
+    deltas = np.where(use_const[:, None], rows, deltas)
+    bias = np.where(use_const, rmin, dmin)
     width = np.minimum(w_lin, w_const)
     return theta0, theta1, bias, width, deltas
 
@@ -190,29 +195,3 @@ class LeCoVar(_LeCoBase):
         parts = [encode_partition_linear(v[bounds[k] : bounds[k + 1]]) for k in range(len(starts))]
         return EncodedSequence(self.name, len(v), dtype_bits, None, starts, parts)
 
-
-def decode_range_accum(enc: EncodedSequence) -> np.ndarray:
-    """Full decode via θ1-accumulation (§3.3 optimization).
-
-    Computes ``v̂_i = v̂_{i-1} + θ1`` instead of a multiply per position, plus
-    an exact error-correction list for positions where limited float
-    precision makes the accumulated floor differ from direct inference.
-    The correction list here is derived on the fly (its storage cost is
-    negligible and accounted conceptually with the delta array).
-    """
-    out = []
-    for p in enc.partitions:
-        # θ1-accumulation: v̂_i = v̂_{i-1} + θ1, i.e. θ0 + running sum of θ1,
-        # reproducing the FP rounding a serial accumulator would see.
-        if p.n > 1:
-            preds = np.concatenate(
-                ([p.model.theta0], p.model.theta0 + np.cumsum(np.full(p.n - 1, p.model.theta1)))
-            )
-        else:
-            preds = np.array([p.model.theta0])
-        acc = np.floor(preds)
-        exact = p.model.predict(np.arange(p.n))
-        corr = exact - acc.astype(np.int64)  # error-correction list
-        deltas = unpack(p.payload, p.width, p.n).astype(np.int64) if p.width else np.zeros(p.n, dtype=np.int64)
-        out.append(acc.astype(np.int64) + corr + p.bias + deltas)
-    return np.concatenate(out)

@@ -14,6 +14,7 @@ model, included here to make FOR literally a special case of the framework
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +41,6 @@ class LinearModel:
         ``math.floor`` on a scalar is ~10× cheaper than ``np.floor`` and
         produces the identical integral value, so encoder (vectorized
         ``np.floor``) and decoder agree bit-for-bit."""
-        import math
-
         return math.floor(self.theta0 + self.theta1 * i)
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitpack import bits_needed, extract_bigint, pack_bigints
+from .bitpack import bits_needed, extract, pack_bigints
 
 __all__ = ["StringLeCo", "StringEncoded"]
 
@@ -159,8 +159,8 @@ class StringLeCo:
         import math
 
         pred = math.floor(p.theta0 + p.theta1 * i)
-        v = pred + p.bias + extract_bigint(p.deltas, p.delta_width, i)
-        length = extract_bigint(p.lengths, p.len_width, i)
+        v = pred + p.bias + extract(p.deltas, p.delta_width, i)
+        length = extract(p.lengths, p.len_width, i)
         # drop the padding digits in one division, then peel the real ones
         v //= p.base ** (p.max_len - length)
         digits = []
@@ -191,7 +191,7 @@ class StringLeCo:
         p = enc.partitions[i // enc.partition_len]
         j = i % enc.partition_len
         pred = math.floor(p.theta0 + p.theta1 * j)
-        return pred + p.bias + extract_bigint(p.deltas, p.delta_width, j)
+        return pred + p.bias + extract(p.deltas, p.delta_width, j)
 
     @staticmethod
     def map_query(p: StringPartition, s: str) -> int:

@@ -19,6 +19,7 @@ import struct
 import numpy as np
 
 from ..baselines.for_codec import FORCodec
+from ..core.codec_api import get_codec
 from ..core.format import EncodedSequence
 from ..core.leco import LeCoFix
 from ..core.bitpack import bits_needed, pack, unpack
@@ -68,8 +69,6 @@ def decode_chunk(blob: bytes) -> np.ndarray:
     kind, obj = parse_chunk(blob)
     if kind in ("plain", "dict"):
         return np.asarray(obj)
-    from ..core.codec_api import get_codec
-
     return get_codec(obj.scheme).decode(obj)
 
 
@@ -83,15 +82,13 @@ def gather_positions(blob: bytes, positions: np.ndarray) -> np.ndarray:
     kind, obj = parse_chunk(blob)
     if kind in ("plain", "dict"):
         return np.asarray(obj)[positions]
+    from ..core.bitpack import extract
     from ..core.leco import _decode_partition
-    from ..baselines.for_codec import FORCodec
 
     enc: EncodedSequence = obj
     out = np.empty(len(positions), dtype=np.int64)
     starts = np.append(enc.starts, enc.n).astype(np.int64)
     part_of = np.searchsorted(starts, positions, side="right") - 1
-    from ..core.bitpack import extract
-
     for k in np.unique(part_of):
         p = enc.partitions[int(k)]
         sel = part_of == k
@@ -99,16 +96,10 @@ def gather_positions(blob: bytes, positions: np.ndarray) -> np.ndarray:
         if len(local) * 64 < p.n:
             # sparsely touched partition: O(1) random accesses beat a full
             # partition decode (this is LeCo/FOR's §4.3.2 access path).
-            if enc.scheme == "FOR":
-                out[sel] = [p.bias + extract(p.payload, p.width, int(i)) for i in local]
-            else:
-                out[sel] = [
-                    p.model.predict_one(int(i)) + p.bias + extract(p.payload, p.width, int(i))
-                    for i in local
-                ]
-        elif enc.scheme == "FOR":
-            deltas = unpack(p.payload, p.width, p.n) if p.width else np.zeros(p.n, np.uint64)
-            out[sel] = p.bias + deltas.astype(np.int64)[local]
+            out[sel] = [
+                p.model.predict_one(int(i)) + p.bias + extract(p.payload, p.width, int(i))
+                for i in local
+            ]
         else:
             out[sel] = _decode_partition(p)[local]
     return out

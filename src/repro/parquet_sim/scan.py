@@ -11,26 +11,25 @@ and returns per-task timing stats:
 * ``scan_s`` — decode + predicate evaluation, measured.
 
 The Fig 14 query is ``SELECT id FROM t WHERE t1 < ts % day < t2`` over an
-almost-sorted ``ts``: Default decodes everything; FOR skips partitions
-whose header range intersects no daily window but must decode a partition
-fully once it overlaps; LeCo additionally inverts its model to decode only
-the candidate position range inside a partition (§5.1.1's computation
-pruning — valid because a partition's model bounds all its values).
+almost-sorted ``ts``, pruned by ``core/prune.py`` with one value range per
+day: Default decodes everything; FOR skips partitions whose header range
+meets no window but decodes an overlapping one fully; LeCo also inverts its
+model to decode only the candidate positions inside a partition (§5.1.1).
 """
 from __future__ import annotations
 
 import os
 import time
 import zlib
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import SparkSession
 from pyspark.sql.types import DoubleType, LongType, StructField, StructType
 
-from ..core.format import EncodedSequence
-from .encodings import decode_chunk, gather_positions, parse_chunk
+from ..core import prune
+from .encodings import gather_positions, parse_chunk
 from .format import ChunkMeta, read_footer
 
 _STATS_SCHEMA = StructType(
@@ -45,85 +44,57 @@ _STATS_SCHEMA = StructType(
 )
 
 
-def _read(path: str, meta_row, io_gbps: float) -> tuple[bytes, int, float, float]:
-    with open(os.path.join(path, meta_row.file), "rb") as f:
+def _timed(path: str, meta: ChunkMeta, io_gbps: float, stats: np.ndarray, work: Callable):
+    """Read one chunk and run ``work(blob)`` on it; adds its bytes read,
+    modeled I/O, decompression and ``work`` seconds to ``stats``."""
+    with open(os.path.join(path, meta.file), "rb") as f:
         raw = f.read()
-    io_s = len(raw) / (io_gbps * 1e9)
-    t0 = time.perf_counter()
-    blob = zlib.decompress(raw) if meta_row.compressed else raw
-    return blob, len(raw), io_s, time.perf_counter() - t0
-
-
-def _seq_partition_bounds(enc: EncodedSequence) -> tuple[np.ndarray, np.ndarray]:
-    los, his = [], []
-    for p in enc.partitions:
-        ends = (p.model.predict_one(0), p.model.predict_one(max(0, p.n - 1)))
-        los.append(min(ends) + p.bias)
-        his.append(max(ends) + p.bias + (1 << p.width) - 1)
-    return np.asarray(los, dtype=np.int64), np.asarray(his, dtype=np.int64)
-
-
-def _windows_overlapping(lo: int, hi: int, t1: int, t2: int, mod: int) -> list[tuple[int, int]]:
-    """Daily windows ``[d·mod+t1, d·mod+t2]`` intersecting ``[lo, hi]``."""
-    out = []
-    for d in range(lo // mod, hi // mod + 1):
-        wlo, whi = d * mod + t1, d * mod + t2
-        if whi >= lo and wlo <= hi:
-            out.append((max(wlo, lo), min(whi, hi)))
+    t_read = time.perf_counter()
+    blob = zlib.decompress(raw) if meta.compressed else raw
+    t_work = time.perf_counter()
+    out = work(blob)
+    stats += (len(raw), len(raw) / (io_gbps * 1e9), t_work - t_read, time.perf_counter() - t_work)
     return out
 
 
 def _mod_positions(blob: bytes, t1: int, t2: int, mod: int) -> np.ndarray:
-    """Chunk-local positions where ``t1 < v % mod < t2`` with pruning."""
+    """Chunk-local positions where ``t1 < v % mod < t2``, pruned for FOR/LeCo."""
     kind, obj = parse_chunk(blob)
     if kind in ("plain", "dict"):
         v = np.asarray(obj)
         return np.flatnonzero((v % mod > t1) & (v % mod < t2))
-    enc: EncodedSequence = obj
-    plo, phi = _seq_partition_bounds(enc)
-    starts = np.append(enc.starts, enc.n).astype(np.int64)
-    out = []
-    for k, p in enumerate(enc.partitions):
-        wins = _windows_overlapping(int(plo[k]), int(phi[k]), t1, t2, mod)
-        if not wins:
-            continue  # partition skipped from the header alone
-        if enc.scheme == "FOR" or p.model.theta1 <= 0:
-            vals = _decode_part(enc, k)
-            m = (vals % mod > t1) & (vals % mod < t2)
-            out.append(starts[k] + np.flatnonzero(m))
-            continue
-        # LeCo: invert the model per window to bound candidate positions.
-        t0_, t1_ = p.model.theta0, p.model.theta1
-        for wlo, whi in wins:
-            a = max(0, int(np.floor((wlo - p.bias - (1 << p.width) - t0_) / t1_)))
-            b = min(p.n, int(np.ceil((whi - p.bias - t0_) / t1_)) + 1)
-            if a >= b:
-                continue
-            vals = _decode_part(enc, k, a, b)
-            m = (vals % mod > t1) & (vals % mod < t2)
-            out.append(starts[k] + a + np.flatnonzero(m))
-    if not out:
-        return np.empty(0, dtype=np.int64)
-    return np.unique(np.concatenate(out))
+    lo, hi = prune.partition_bounds(obj)
+    days = range(int(np.floor(lo.min())) // mod, int(np.ceil(hi.max())) // mod + 1)
+    return prune.select(obj, [(d * mod + t1 + 1, d * mod + t2 - 1) for d in days])[0]
 
 
-def _decode_part(enc: EncodedSequence, k: int, a: int = 0, b: int | None = None) -> np.ndarray:
-    from ..core.leco import _decode_partition
-    from ..core.bitpack import unpack
+def _run(spark: SparkSession, metas: list[ChunkMeta], column: str, work: Callable) -> dict[str, float]:
+    """Fan the row groups of ``column``'s chunks out over executors; each
+    task calls ``work(rg_id, stats)`` for the values its row group yields."""
 
-    p = enc.partitions[k]
-    b = p.n if b is None else b
-    if enc.scheme == "FOR":
-        deltas = unpack(p.payload, p.width, p.n)[a:b] if p.width else np.zeros(b - a, np.uint64)
-        return p.bias + deltas.astype(np.int64)
-    return _decode_partition(p, a, b)
+    def task(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        stats = np.zeros(4)
+        rows_out = checksum = 0
+        for b in batches:
+            for r in b.itertuples(index=False):
+                vals = work(int(r.rg_id), stats)
+                rows_out += len(vals)
+                checksum += int(vals.sum())
+        yield pd.DataFrame(
+            [[rows_out, int(stats[0]), stats[1], stats[2], stats[3], checksum % (1 << 62)]],
+            columns=[f.name for f in _STATS_SCHEMA.fields],
+        )
 
-
-def _meta_df(spark: SparkSession, metas: list[ChunkMeta], col: str) -> DataFrame:
-    rows = [(m.rg_id, m.file, m.n, m.vmin, m.vmax, m.compressed) for m in metas if m.column == col]
-    return spark.createDataFrame(
-        pd.DataFrame(rows, columns=["rg_id", "file", "n", "vmin", "vmax", "compressed"])
-    ).repartition(16, "rg_id")
+    rg_ids = pd.DataFrame({"rg_id": [m.rg_id for m in metas if m.column == column]})
+    agg = (
+        spark.createDataFrame(rg_ids)
+        .repartition(16, "rg_id")
+        .mapInPandas(task, schema=_STATS_SCHEMA)
+        .toPandas()
+    )
+    out = {c: int(agg[c].sum()) for c in ("rows_out", "bytes_read", "checksum")}
+    out.update({c: float(agg[c].sum()) for c in ("io_s", "decompress_s", "scan_s")})
+    return out | {"total_s": out["io_s"] + out["decompress_s"] + out["scan_s"]}
 
 
 def filter_scan_mod(
@@ -143,43 +114,14 @@ def filter_scan_mod(
     for m in metas:
         by_rg.setdefault(m.rg_id, {})[m.column] = m
 
-    def task(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        stats = np.zeros(4)
-        rows_out = 0
-        checksum = 0
-        for b in batches:
-            for _, r in b.iterrows():
-                ts_meta = by_rg[int(r.rg_id)][ts_col]
-                blob, nb, io_s, dz_s = _read(path, ts_meta, io_gbps)
-                t0 = time.perf_counter()
-                pos = _mod_positions(blob, t1, t2, mod)
-                scan_s = time.perf_counter() - t0
-                stats += (nb, io_s, dz_s, scan_s)
-                if len(pos) == 0:
-                    continue
-                id_meta = by_rg[int(r.rg_id)][id_col]
-                blob, nb, io_s, dz_s = _read(path, id_meta, io_gbps)
-                t0 = time.perf_counter()
-                ids = gather_positions(blob, pos)
-                scan_s = time.perf_counter() - t0
-                stats += (nb, io_s, dz_s, scan_s)
-                rows_out += len(ids)
-                checksum += int(ids.sum())
-        yield pd.DataFrame(
-            [[rows_out, int(stats[0]), stats[1], stats[2], stats[3], checksum % (1 << 62)]],
-            columns=[f.name for f in _STATS_SCHEMA.fields],
-        )
+    def work(rg_id: int, stats: np.ndarray) -> np.ndarray:
+        cols = by_rg[rg_id]
+        pos = _timed(path, cols[ts_col], io_gbps, stats, lambda blob: _mod_positions(blob, t1, t2, mod))
+        if len(pos) == 0:
+            return pos
+        return _timed(path, cols[id_col], io_gbps, stats, lambda blob: gather_positions(blob, pos))
 
-    agg = _meta_df(spark, metas, ts_col).mapInPandas(task, schema=_STATS_SCHEMA).toPandas()
-    return {
-        "rows_out": int(agg.rows_out.sum()),
-        "bytes_read": int(agg.bytes_read.sum()),
-        "io_s": float(agg.io_s.sum()),
-        "decompress_s": float(agg.decompress_s.sum()),
-        "scan_s": float(agg.scan_s.sum()),
-        "total_s": float(agg.io_s.sum() + agg.decompress_s.sum() + agg.scan_s.sum()),
-        "checksum": int(agg.checksum.sum()),
-    }
+    return _run(spark, metas, ts_col, work)
 
 
 def bitmap_select(
@@ -202,34 +144,9 @@ def bitmap_select(
         m.rg_id: positions[(positions >= bounds[i]) & (positions < bounds[i + 1])] - bounds[i]
         for i, m in enumerate(metas)
     }
-    per_rg = {k: v for k, v in per_rg.items() if len(v)}
-    keep = [m for m in metas if m.rg_id in per_rg]
+    keep = {m.rg_id: m for m in metas if len(per_rg[m.rg_id])}
 
-    def task(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        stats = np.zeros(4)
-        rows_out = checksum = 0
-        for b in batches:
-            for _, r in b.iterrows():
-                m = next(x for x in keep if x.rg_id == int(r.rg_id))
-                blob, nb, io_s, dz_s = _read(path, m, io_gbps)
-                t0 = time.perf_counter()
-                vals = gather_positions(blob, per_rg[m.rg_id])
-                scan_s = time.perf_counter() - t0
-                stats += (nb, io_s, dz_s, scan_s)
-                rows_out += len(vals)
-                checksum += int(vals.sum())
-        yield pd.DataFrame(
-            [[rows_out, int(stats[0]), stats[1], stats[2], stats[3], checksum % (1 << 62)]],
-            columns=[f.name for f in _STATS_SCHEMA.fields],
-        )
+    def work(rg_id: int, stats: np.ndarray) -> np.ndarray:
+        return _timed(path, keep[rg_id], io_gbps, stats, lambda blob: gather_positions(blob, per_rg[rg_id]))
 
-    agg = _meta_df(spark, keep, column).mapInPandas(task, schema=_STATS_SCHEMA).toPandas()
-    return {
-        "rows_out": int(agg.rows_out.sum()),
-        "bytes_read": int(agg.bytes_read.sum()),
-        "io_s": float(agg.io_s.sum()),
-        "decompress_s": float(agg.decompress_s.sum()),
-        "scan_s": float(agg.scan_s.sum()),
-        "total_s": float(agg.io_s.sum() + agg.decompress_s.sum() + agg.scan_s.sum()),
-        "checksum": int(agg.checksum.sum()),
-    }
+    return _run(spark, list(keep.values()), column, work)

@@ -11,9 +11,8 @@ and the reverse on the scan side with model-based partition skipping).
   ``chunk_rows``), carrying the self-describing §3.3 format.
 * :func:`decode_column` — full scan/decode of an encoded column.
 * :func:`filter_scan` — range-predicate scan that skips whole chunks by
-  zone map, skips LeCo partitions by model bounds, and uses model
-  inversion to decode only the qualifying position range of a partition
-  (the §5.1.1 computation-pruning trick).
+  zone map, then prunes partitions by model bounds and model inversion
+  (the §5.1.1 computation-pruning trick, ``core/prune.py``).
 
 All transforms go through the DataFrame API so Catalyst plans the
 surrounding query; the codec work itself is columnar numpy inside the
@@ -36,7 +35,7 @@ from pyspark.sql.types import (
 
 from .core.codec_api import get_codec
 from .core.format import EncodedSequence
-from .core.leco import _decode_partition
+from .core.prune import select
 
 _ENC_SCHEMA = StructType(
     [
@@ -95,7 +94,7 @@ def decode_column(enc_df: DataFrame, column: str = "v") -> DataFrame:
 
     def decode(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         for b in batches:
-            for _, row in b.iterrows():
+            for row in b.itertuples(index=False):
                 enc = EncodedSequence.from_bytes(bytes(row.blob))
                 values = get_codec(row.scheme).decode(enc)
                 yield pd.DataFrame({column: values})
@@ -103,60 +102,16 @@ def decode_column(enc_df: DataFrame, column: str = "v") -> DataFrame:
     return enc_df.mapInPandas(decode, schema=StructType([StructField(column, LongType())]))
 
 
-def _partition_bounds(enc: EncodedSequence) -> tuple[np.ndarray, np.ndarray]:
-    """Value bounds per LeCo partition from header only (no delta decode)."""
-    los, his = [], []
-    for p in enc.partitions:
-        ends = (p.model.predict_one(0), p.model.predict_one(p.n - 1))
-        los.append(min(ends) + p.bias)
-        his.append(max(ends) + p.bias + (1 << p.width) - 1)
-    return np.asarray(los), np.asarray(his)
-
-
-def _positions_in_range(enc: EncodedSequence, lo: int, hi: int) -> np.ndarray:
-    """Local decode of positions whose value may lie in ``[lo, hi]``:
-    partition-level skip by model bounds, then model inversion to bound the
-    candidate position range inside each (near-monotonic) partition, then an
-    exact check on the decoded candidates.  Returns qualifying *global*
-    positions and their values."""
-    plo, phi = _partition_bounds(enc)
-    out = []
-    starts = np.append(enc.starts, enc.n).astype(np.int64)
-    for k, p in enumerate(enc.partitions):
-        if phi[k] < lo or plo[k] > hi:
-            continue  # partition skipped via header only
-        a, b = 0, p.n
-        t1 = p.model.theta1
-        if t1 > 0:  # invert the model to bound candidate positions (§5.1.1)
-            # value at i is within [pred(i)+bias, pred(i)+bias+2^w), so
-            # candidates satisfy pred(i) >= lo - bias - 2^w and pred(i) <= hi - bias
-            a = max(0, int(np.floor((lo - p.bias - (1 << p.width) - p.model.theta0) / t1)))
-            b = min(p.n, int(np.ceil((hi - p.bias - p.model.theta0) / t1)) + 1)
-            if a >= b:
-                continue
-        vals = _decode_partition(p, a, b)
-        mask = (vals >= lo) & (vals <= hi)
-        out.append((starts[k] + a + np.flatnonzero(mask), vals[mask]))
-    if not out:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    return np.concatenate([o[0] for o in out]), np.concatenate([o[1] for o in out])
-
-
 def filter_scan(enc_df: DataFrame, lo: int, hi: int, column: str = "v") -> DataFrame:
-    """Return values in ``[lo, hi]`` from a LeCo-encoded column, using chunk
+    """Return values in ``[lo, hi]`` from an encoded column, using chunk
     zone maps, partition-header skipping and model-inversion pruning."""
 
     def scan(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         for b in batches:
-            for _, row in b.iterrows():
+            for row in b.itertuples(index=False):
                 if row.vmax < lo or row.vmin > hi:
                     continue  # chunk skipped via zone map
-                enc = EncodedSequence.from_bytes(bytes(row.blob))
-                if not enc.scheme.startswith("LeCo"):
-                    values = get_codec(row.scheme).decode(enc)
-                    values = values[(values >= lo) & (values <= hi)]
-                else:
-                    _, values = _positions_in_range(enc, lo, hi)
+                _, values = select(EncodedSequence.from_bytes(bytes(row.blob)), [(lo, hi)])
                 yield pd.DataFrame({column: values})
 
     return enc_df.mapInPandas(scan, schema=StructType([StructField(column, LongType())]))

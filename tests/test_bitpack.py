@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.core.bitpack import (
     bits_needed,
     extract,
-    extract_bigint,
     pack,
     pack_bigints,
     unpack,
@@ -84,7 +83,7 @@ def test_bigint_roundtrip(width):
     buf = pack_bigints(vals, width)
     assert unpack_bigints(buf, width, 50) == vals
     for i in (0, 1, 25, 49):
-        assert extract_bigint(buf, width, i) == vals[i]
+        assert extract(buf, width, i) == vals[i]
 
 
 def test_bigint_width_zero():

@@ -1,10 +1,10 @@
-"""LeCo-specific behavioural tests: format invariants, range decode, the
-θ1-accumulation optimization, and paper-claimed dominance properties."""
+"""LeCo-specific behavioural tests: format invariants, range decode and
+paper-claimed dominance properties."""
 import numpy as np
 import pytest
 
 from repro.core.format import EncodedSequence, PARTITION_HEADER_BYTES
-from repro.core.leco import LeCoFix, LeCoVar, decode_range_accum, encode_partition_linear
+from repro.core.leco import LeCoFix, LeCoVar, encode_partition_linear
 from repro.datasets import INTEGER_DATASETS
 
 
@@ -34,13 +34,15 @@ def test_decode_range_var_partitions():
         assert np.array_equal(codec.decode_range(enc, a, b), v[a:b])
 
 
-@pytest.mark.parametrize("dataset", list(INTEGER_DATASETS))
-def test_theta1_accumulation_with_correction_is_exact(dataset):
-    """§3.3: range decode via θ1-accumulation + error-correction list must be
-    bit-identical to direct model inference."""
-    v, bits = INTEGER_DATASETS[dataset](3000)
-    enc = LeCoFix(256).encode(v, dtype_bits=bits)
-    assert np.array_equal(decode_range_accum(enc), v)
+def test_fix_constant_rows_beyond_2_53_are_exact():
+    """Rows where the horizontal line wins keep their exact minimum in the
+    int64 bias, so values beyond float64's 2^53 decode exactly."""
+    v = np.random.default_rng(5).integers(2**60, 2**61, 3000)
+    codec = LeCoFix(256)
+    enc = codec.encode(v, dtype_bits=64)
+    assert any(p.model.theta1 == 0 for p in enc.partitions)
+    assert np.array_equal(codec.decode(enc), v)
+    assert all(codec.access(enc, i) == v[i] for i in range(0, 3000, 97))
 
 
 def test_model_share_breakdown_sums():

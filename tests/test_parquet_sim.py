@@ -9,7 +9,7 @@ import pytest
 from repro.datasets import gen_ml
 from repro.parquet_sim.encodings import decode_chunk, encode_chunk, gather_positions
 from repro.parquet_sim.format import file_bytes, read_column, read_footer, write_file
-from repro.parquet_sim.scan import bitmap_select, filter_scan_mod
+from repro.parquet_sim.scan import _mod_positions, bitmap_select, filter_scan_mod
 
 DAY = 86400
 
@@ -51,6 +51,20 @@ def test_gather_positions(encoding):
     assert np.array_equal(gather_positions(blob, pos), v[pos])
     dense = np.arange(3000, 7000)
     assert np.array_equal(gather_positions(blob, dense), v[dense])
+
+
+@pytest.mark.parametrize("encoding", ["default", "for", "leco"])
+@pytest.mark.parametrize("slope", [0.1, 0.25, 0.4, 0.7])
+def test_mod_positions_on_plateaus(encoding, slope):
+    """Chunk pruning for ``t1 < v % mod < t2`` keeps every row of value
+    plateaus (θ1 < 1), including width-0 tail partitions."""
+    g = np.random.default_rng(int(slope * 10))
+    v = 606774 + np.floor(slope * np.arange(8866)).astype(np.int64)
+    blob = encode_chunk(v, encoding, partition_len=2872)
+    windows = [(2417, 3303)] + [tuple(np.sort(g.choice(v % DAY, 2))) for _ in range(40)]
+    for t1, t2 in windows:
+        expect = np.flatnonzero((v % DAY > t1) & (v % DAY < t2))
+        assert np.array_equal(_mod_positions(blob, int(t1), int(t2), DAY), expect)
 
 
 def test_dictionary_fallback_to_plain():

@@ -6,6 +6,7 @@ results over decoded data checked row-for-row against DuckDB over the
 original input.
 """
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro import synth_data
@@ -42,14 +43,28 @@ def test_chunking_controls_chunk_count(spark, lineitem):
     assert enc.count() >= n // 2000
 
 
-def test_filter_scan_matches_oracle(spark, lineitem):
-    enc = encode_column(lineitem, "l_orderkey", scheme="LeCo-fix", dtype_bits=32, chunk_rows=4000)
-    got = filter_scan(enc, 50, 800, column="l_orderkey")
-    assert_equivalent(
-        got,
-        "SELECT l_orderkey FROM li WHERE l_orderkey BETWEEN 50 AND 800",
-        li=lineitem,
+@pytest.fixture(scope="module")
+def plateau(spark):
+    """Runs of repeated values (model slopes θ1 < 1), as ms→s timestamps have."""
+    v = np.concatenate(
+        [606774 + k * 10_000 + np.floor(s * np.arange(8866)).astype(np.int64) for k, s in enumerate((0.1, 0.3, 0.7))]
     )
+    return spark.createDataFrame(pd.DataFrame({"v": v})).cache(), v
+
+
+def test_filter_scan_matches_oracle(spark, lineitem, plateau):
+    """Every scan path — LeCo-fix model inversion, FOR header bounds, and
+    Delta-fix full decode — on TPC-H keys and on a plateau column."""
+    plateau_df, v = plateau
+    inputs = [(lineitem, "l_orderkey", 50, 800), (plateau_df, "v", int(np.quantile(v, 0.1)), int(np.quantile(v, 0.11)))]
+    for scheme in ("LeCo-fix", "FOR", "Delta-fix"):
+        for df, col, lo, hi in inputs:
+            enc = encode_column(df, col, scheme=scheme, dtype_bits=32, chunk_rows=4000)
+            assert_equivalent(
+                filter_scan(enc, lo, hi, column=col),
+                f"SELECT {col} FROM li WHERE {col} BETWEEN {lo} AND {hi}",
+                li=df,
+            )
 
 
 def test_filter_scan_empty_range(spark, lineitem):
